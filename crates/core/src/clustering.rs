@@ -23,7 +23,7 @@
 
 use evcap_dist::SlotPmf;
 use evcap_energy::ConsumptionModel;
-use evcap_renewal::AgeBeliefDp;
+use evcap_renewal::{AgeBeliefDp, HazardTable};
 
 use crate::greedy::EnergyBudget;
 use crate::objective::{CycleMoments, Objective};
@@ -241,9 +241,38 @@ pub fn evaluate_partial_info_moments(
     consumption: &ConsumptionModel,
     opts: EvalOptions,
 ) -> (ClusterEvaluation, CycleMoments) {
+    evaluate_chain(AgeBeliefDp::new(pmf), pmf.mean(), policy, consumption, opts)
+}
+
+/// [`evaluate_partial_info_moments`] on a solve's precomputed hazard
+/// table, for callers that evaluate many policies on one pmf. The result
+/// is bit-identical.
+pub(crate) fn evaluate_tabled(
+    table: &HazardTable<'_>,
+    policy: impl Fn(usize) -> f64,
+    consumption: &ConsumptionModel,
+    opts: EvalOptions,
+) -> (ClusterEvaluation, CycleMoments) {
+    let mean_gap = table.pmf().mean();
+    evaluate_chain(
+        AgeBeliefDp::with_table(table),
+        mean_gap,
+        policy,
+        consumption,
+        opts,
+    )
+}
+
+/// Runs the fresh chain `dp` under `policy`; `mean_gap` is its pmf's mean.
+fn evaluate_chain(
+    mut dp: AgeBeliefDp<'_>,
+    mean_gap: f64,
+    policy: impl Fn(usize) -> f64,
+    consumption: &ConsumptionModel,
+    opts: EvalOptions,
+) -> (ClusterEvaluation, CycleMoments) {
     let d1 = consumption.delta1_units();
     let d2 = consumption.delta2_units();
-    let mut dp = AgeBeliefDp::new(pmf);
     let mut cycle = 0.0; // Σ_{i≥0} S_i accumulates E[T]; S_0 = 1 added below.
     let mut cycle2 = 0.0; // Σ_{i≥1} (2i−1)·S_{i−1} accumulates E[T²].
     let mut energy = 0.0; // expected energy per cycle
@@ -294,7 +323,7 @@ pub fn evaluate_partial_info_moments(
     }
     (
         ClusterEvaluation {
-            capture_probability: (pmf.mean() / cycle).clamp(0.0, 1.0),
+            capture_probability: (mean_gap / cycle).clamp(0.0, 1.0),
             discharge_rate: energy / cycle,
             expected_cycle: cycle,
             truncated_survival: residual,
@@ -485,17 +514,21 @@ impl ClusteringOptimizer {
             .max_n3
             .unwrap_or_else(|| (2 * q999).max(lo + 4))
             .max(lo + 1);
+        let pricer = Pricer {
+            table: HazardTable::new(pmf),
+            consumption,
+            opts: self.eval,
+        };
         let mut candidates = 0u64;
         for _ in 0..8 {
             if let Some(h) = hint {
-                if let Some((policy, eval)) =
-                    self.search_warm(pmf, consumption, lo, hi, h, &mut candidates)
+                if let Some((policy, eval)) = self.search_warm(&pricer, lo, hi, h, &mut candidates)
                 {
                     evcap_obs::timing::add_count("clustering.warm_hits", 1);
                     return Ok((policy, eval, candidates));
                 }
             }
-            if let Some((policy, eval)) = self.search(pmf, consumption, lo, hi, &mut candidates) {
+            if let Some((policy, eval)) = self.search(&pricer, lo, hi, &mut candidates) {
                 return Ok((policy, eval, candidates));
             }
             if self.max_n3.is_some() {
@@ -510,8 +543,7 @@ impl ClusteringOptimizer {
     /// `[lo, hi]`.
     fn search(
         &self,
-        pmf: &SlotPmf,
-        consumption: &ConsumptionModel,
+        pricer: &Pricer<'_>,
         lo: usize,
         hi: usize,
         candidates: &mut u64,
@@ -526,7 +558,7 @@ impl ClusteringOptimizer {
             while n2 <= hi {
                 let mut n3 = n2;
                 while n3 <= hi {
-                    self.consider(pmf, consumption, n1, n2, n3, &mut best, candidates);
+                    self.consider(pricer, n1, n2, n3, &mut best, candidates);
                     n3 += step;
                 }
                 n2 += step;
@@ -534,7 +566,7 @@ impl ClusteringOptimizer {
             n1 += step;
         }
 
-        self.refine(pmf, consumption, lo, hi, step, &mut best, candidates);
+        self.refine(pricer, lo, hi, step, &mut best, candidates);
         best.map(|r| (r.policy, r.eval))
     }
 
@@ -548,8 +580,7 @@ impl ClusteringOptimizer {
     /// the caller to the full enumeration.
     fn search_warm(
         &self,
-        pmf: &SlotPmf,
-        consumption: &ConsumptionModel,
+        pricer: &Pricer<'_>,
         lo: usize,
         hi: usize,
         hint: (usize, usize, usize),
@@ -574,7 +605,7 @@ impl ClusteringOptimizer {
         // off-lattice, and the equivalence argument below needs `best` to
         // see exactly the candidates the cold sweep would accept.
         let mut priced: Option<Ranked> = None;
-        self.consider(pmf, consumption, h1, h2, h3, &mut priced, candidates);
+        self.consider(pricer, h1, h2, h3, &mut priced, candidates);
         let hint_eval = priced?.eval;
         let threshold = hint_eval.capture_probability - WARM_SLACK;
         if threshold <= 0.0 {
@@ -596,7 +627,7 @@ impl ClusteringOptimizer {
         let mut n1 = lo.max(1);
         while n1 <= hi {
             let subtree_ub = ClusteringPolicy::new(n1, hi, hi, 1.0, 1.0, 1.0)
-                .map(|p| p.evaluate(pmf, consumption, self.eval).capture_probability)
+                .map(|p| pricer.price(&p).0.capture_probability)
                 .unwrap_or(0.0);
             evcap_obs::timing::add_count("clustering.screened", 1);
             if subtree_ub > threshold {
@@ -606,12 +637,10 @@ impl ClusteringOptimizer {
                     while n3 <= hi {
                         if let Ok(full) = ClusteringPolicy::new(n1, n2, n3, 1.0, 1.0, 1.0) {
                             evcap_obs::timing::add_count("clustering.screened", 1);
-                            let (eval_full, moments_full) =
-                                full.evaluate_moments(pmf, consumption, self.eval);
+                            let (eval_full, moments_full) = pricer.price(&full);
                             if eval_full.capture_probability > threshold {
                                 self.consider_priced(
-                                    pmf,
-                                    consumption,
+                                    pricer,
                                     full,
                                     eval_full,
                                     moments_full,
@@ -634,18 +663,16 @@ impl ClusteringOptimizer {
             // pruned sweep and the cold sweep agree on the grid optimum.
             return None;
         }
-        self.refine(pmf, consumption, lo, hi, step, &mut best, candidates);
+        self.refine(pricer, lo, hi, step, &mut best, candidates);
         best.map(|r| (r.policy, r.eval))
     }
 
     /// Local refinement shared by the cold and warm searches: coordinate
     /// descent with shrinking step, seeded from (and folding back into)
     /// `best`.
-    #[allow(clippy::too_many_arguments)]
     fn refine(
         &self,
-        pmf: &SlotPmf,
-        consumption: &ConsumptionModel,
+        pricer: &Pricer<'_>,
         lo: usize,
         hi: usize,
         step: usize,
@@ -672,8 +699,7 @@ impl ClusteringOptimizer {
                             }
                             let before = best.as_ref().map(|r| r.score);
                             self.consider(
-                                pmf,
-                                consumption,
+                                pricer,
                                 cand[0] as usize,
                                 cand[1] as usize,
                                 cand[2] as usize,
@@ -698,11 +724,9 @@ impl ClusteringOptimizer {
 
     /// Evaluates the `(n1, n2, n3)` candidate (balancing `c_{n1}` if the full
     /// policy overshoots the budget) and folds it into `best`.
-    #[allow(clippy::too_many_arguments)]
     fn consider(
         &self,
-        pmf: &SlotPmf,
-        consumption: &ConsumptionModel,
+        pricer: &Pricer<'_>,
         n1: usize,
         n2: usize,
         n3: usize,
@@ -712,25 +736,15 @@ impl ClusteringOptimizer {
         let Ok(full) = ClusteringPolicy::new(n1, n2, n3, 1.0, 1.0, 1.0) else {
             return;
         };
-        let (eval_full, moments_full) = full.evaluate_moments(pmf, consumption, self.eval);
-        self.consider_priced(
-            pmf,
-            consumption,
-            full,
-            eval_full,
-            moments_full,
-            best,
-            candidates,
-        );
+        let (eval_full, moments_full) = pricer.price(&full);
+        self.consider_priced(pricer, full, eval_full, moments_full, best, candidates);
     }
 
     /// [`ClusteringOptimizer::consider`] with the fully-open evaluation
     /// already in hand (the warm screen computes it as its upper bound).
-    #[allow(clippy::too_many_arguments)]
     fn consider_priced(
         &self,
-        pmf: &SlotPmf,
-        consumption: &ConsumptionModel,
+        pricer: &Pricer<'_>,
         full: ClusteringPolicy,
         eval_full: ClusterEvaluation,
         moments_full: CycleMoments,
@@ -745,8 +759,7 @@ impl ClusteringOptimizer {
         } else {
             // Over budget: shrink the hot-region entry coefficient.
             let closed = full.with_c_n1(0.0);
-            let (eval_closed, moments_closed) =
-                closed.evaluate_moments(pmf, consumption, self.eval);
+            let (eval_closed, moments_closed) = pricer.price(&closed);
             if eval_closed.discharge_rate > e {
                 None // even the narrowest variant is infeasible
             } else {
@@ -756,7 +769,7 @@ impl ClusteringOptimizer {
                 for _ in 0..24 {
                     let mid = 0.5 * (lo_c + hi_c);
                     let p = full.with_c_n1(mid);
-                    let (ev, mo) = p.evaluate_moments(pmf, consumption, self.eval);
+                    let (ev, mo) = pricer.price(&p);
                     if ev.discharge_rate <= e {
                         chosen = (p, ev, mo);
                         lo_c = mid;
@@ -781,6 +794,28 @@ impl ClusteringOptimizer {
                 });
             }
         }
+    }
+}
+
+/// One solve's evaluator: the pmf's hazard table, built once so no
+/// candidate recomputes `β_a = α_a / S(a − 1)`, plus the consumption model
+/// and evaluator controls.
+struct Pricer<'a> {
+    table: HazardTable<'a>,
+    consumption: &'a ConsumptionModel,
+    opts: EvalOptions,
+}
+
+impl Pricer<'_> {
+    /// The candidate's evaluation and cycle moments, bit-identical to
+    /// [`ClusteringPolicy::evaluate_moments`].
+    fn price(&self, policy: &ClusteringPolicy) -> (ClusterEvaluation, CycleMoments) {
+        evaluate_tabled(
+            &self.table,
+            |i| policy.coefficient(i),
+            self.consumption,
+            self.opts,
+        )
     }
 }
 

@@ -143,8 +143,10 @@ impl GreedyPolicy {
         }
 
         // Remark 1: sort by conditional probability, best first; ties go to
-        // the earlier slot (load-balancing-friendly and deterministic).
-        items.sort_by(|a, b| b.hazard.total_cmp(&a.hazard).then(a.slot.cmp(&b.slot)));
+        // the earlier slot (load-balancing-friendly and deterministic). Slots
+        // are unique, so this is a total order and the unstable sort (no
+        // scratch buffer) yields the same order as a stable one.
+        items.sort_unstable_by(|a, b| b.hazard.total_cmp(&a.hazard).then(a.slot.cmp(&b.slot)));
 
         let mut remaining = per_renewal;
         let mut coefficients = vec![0.0; horizon];

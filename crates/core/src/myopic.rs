@@ -20,9 +20,9 @@
 
 use evcap_dist::SlotPmf;
 use evcap_energy::ConsumptionModel;
-use evcap_renewal::AgeBeliefDp;
+use evcap_renewal::{AgeBeliefDp, HazardTable};
 
-use crate::clustering::{evaluate_partial_info, ClusterEvaluation, EvalOptions};
+use crate::clustering::{evaluate_tabled, ClusterEvaluation, EvalOptions};
 use crate::greedy::EnergyBudget;
 use crate::policy::{ActivationPolicy, DecisionContext, InfoModel, PolicyTable};
 use crate::{PolicyError, Result};
@@ -66,25 +66,24 @@ impl MyopicPolicy {
             });
         }
         let e = budget.rate();
+        // Every derivation and evaluation below walks the belief DP on this
+        // pmf, so the hazards are computed once.
+        let table = HazardTable::new(pmf);
         let derive_at = |theta: f64| -> Vec<bool> {
-            let mut dp = AgeBeliefDp::new(pmf);
+            let mut dp = AgeBeliefDp::with_table(&table);
             let mut active = Vec::with_capacity(window);
             for _ in 0..window {
-                // Peek the hazard without committing: step with c chosen by
-                // the threshold on the hazard the step itself reports. The
-                // hazard does not depend on the *current* slot's decision,
-                // so compute it with a probe first.
-                let mut probe = dp.clone();
-                let hazard = probe.step(0.0).hazard;
-                let act = hazard >= theta;
+                // The slot's hazard does not depend on its own decision, so
+                // peek it, decide by the threshold, then commit the step.
+                let act = dp.peek_hazard() >= theta;
                 dp.step(if act { 1.0 } else { 0.0 });
                 active.push(act);
             }
             active
         };
         let eval_of = |active: &[bool]| {
-            evaluate_partial_info(
-                pmf,
+            evaluate_tabled(
+                &table,
                 |i| {
                     if i <= active.len() {
                         if active[i - 1] {
@@ -99,6 +98,7 @@ impl MyopicPolicy {
                 consumption,
                 opts,
             )
+            .0
         };
 
         // θ = 1+ means "never activate in the window" (recovery only);

@@ -71,24 +71,87 @@ pub struct BeliefStep {
 /// ```
 #[derive(Debug, Clone)]
 pub struct AgeBeliefDp<'a> {
-    pmf: &'a SlotPmf,
+    hazards: Hazards<'a>,
     /// `(slot of last actual event, joint mass)`; masses sum to the chain
     /// survival `P(no capture yet)` (up to pruning).
     buckets: Vec<(usize, f64)>,
     /// The next slot to process (1-based).
     slot: usize,
-    /// Chain survival after the last processed slot.
+    /// Chain survival after the last processed slot: the sum of the live
+    /// bucket masses, in bucket order.
     survival: f64,
     /// Total mass dropped by pruning, for diagnostics.
     pruned: f64,
+}
+
+/// The hazards `β_1..=β_H` of one pmf, exactly as [`SlotPmf::hazards`]
+/// returns them: computed once and shared by every chain a solve runs on
+/// that pmf (see [`AgeBeliefDp::with_table`]).
+#[derive(Debug, Clone)]
+pub struct HazardTable<'a> {
+    pmf: &'a SlotPmf,
+    hazards: Vec<f64>,
+}
+
+impl<'a> HazardTable<'a> {
+    /// Tabulates the hazard of every explicit slot of `pmf`.
+    pub fn new(pmf: &'a SlotPmf) -> Self {
+        Self {
+            pmf,
+            hazards: pmf.hazards(pmf.horizon()),
+        }
+    }
+
+    /// The pmf this table was computed from.
+    pub fn pmf(&self) -> &'a SlotPmf {
+        self.pmf
+    }
+}
+
+/// Where the DP reads the inter-arrival hazard `β_a` of an age.
+#[derive(Debug, Clone, Copy)]
+struct Hazards<'a> {
+    pmf: &'a SlotPmf,
+    /// A [`HazardTable`]'s entries, or empty to call [`SlotPmf::hazard`] on
+    /// every lookup.
+    table: &'a [f64],
+    /// The constant hazard of every age past the pmf horizon.
+    tail: f64,
+}
+
+impl Hazards<'_> {
+    #[inline]
+    fn at(&self, age: usize) -> f64 {
+        match self.table.get(age - 1) {
+            Some(&beta) => beta,
+            None if self.table.is_empty() => self.pmf.hazard(age),
+            None => self.tail,
+        }
+    }
 }
 
 impl<'a> AgeBeliefDp<'a> {
     /// Starts a fresh chain: an event was captured at slot 0, so the age is
     /// known exactly.
     pub fn new(pmf: &'a SlotPmf) -> Self {
+        Self::start(pmf, &[])
+    }
+
+    /// Like [`AgeBeliefDp::new`] on `table.pmf()`, reading hazards from
+    /// the table. The steps are bit-identical to the table-less DP's; a
+    /// caller that runs many chains on one pmf builds the table once and
+    /// saves a division per bucket per slot.
+    pub fn with_table(table: &'a HazardTable<'a>) -> Self {
+        Self::start(table.pmf, &table.hazards)
+    }
+
+    fn start(pmf: &'a SlotPmf, table: &'a [f64]) -> Self {
         Self {
-            pmf,
+            hazards: Hazards {
+                pmf,
+                table,
+                tail: pmf.hazard(pmf.horizon() + 1),
+            },
             buckets: vec![(0, 1.0)],
             slot: 1,
             survival: 1.0,
@@ -108,46 +171,56 @@ impl<'a> AgeBeliefDp<'a> {
             "activation probability must lie in [0, 1], got {c}"
         );
         let i = self.slot;
-        let total: f64 = self.buckets.iter().map(|&(_, m)| m).sum();
+        let hazards = self.hazards;
+        // The buckets are unchanged since the last step summed them.
+        let total = self.survival;
         let mut event_mass = 0.0;
         let mut missed_mass = 0.0;
-        for (last_event, mass) in &mut self.buckets {
-            let age = i - *last_event;
-            let beta = self.pmf.hazard(age);
-            let event = *mass * beta;
+        // Update, prune and re-sum in one pass; the sum starts at -0.0 as
+        // `Iterator::sum` does, so an emptied belief keeps its signed zero.
+        // An index loop, because `retain_mut` with these accumulators
+        // measured up to 1.8× slower.
+        let mut remaining = -0.0;
+        let mut kept = 0;
+        for k in 0..self.buckets.len() {
+            let (last_event, mass) = self.buckets[k];
+            let event = mass * hazards.at(i - last_event);
             event_mass += event;
             missed_mass += event * (1.0 - c);
-            *mass -= event;
-        }
-        let capture_mass = event_mass * c;
-        if missed_mass > 0.0 {
-            self.buckets.push((i, missed_mass));
-        }
-        // Prune negligible buckets to keep the representation compact.
-        let pruned_before = self.pruned;
-        self.buckets.retain(|&(_, m)| {
-            if m >= PRUNE_EPS {
-                true
-            } else {
-                // Track what we drop so invariants can account for it.
-                false
+            let mass = mass - event;
+            // Drop negligible buckets to keep the representation compact.
+            if mass >= PRUNE_EPS {
+                self.buckets[kept] = (last_event, mass);
+                kept += 1;
+                remaining += mass;
             }
-        });
-        let remaining: f64 = self.buckets.iter().map(|&(_, m)| m).sum();
-        let expected_remaining = total - capture_mass;
-        self.pruned = pruned_before + (expected_remaining - remaining).max(0.0);
+        }
+        self.buckets.truncate(kept);
+        let capture_mass = event_mass * c;
+        if missed_mass >= PRUNE_EPS {
+            self.buckets.push((i, missed_mass));
+            remaining += missed_mass;
+        }
+        // Track what pruning dropped so invariants can account for it.
+        self.pruned += (total - capture_mass - remaining).max(0.0);
         self.survival = remaining;
         self.slot = i + 1;
         BeliefStep {
             slot: i,
-            hazard: if total > 0.0 {
-                (event_mass / total).clamp(0.0, 1.0)
-            } else {
-                0.0
-            },
+            hazard: conditional_hazard(event_mass, total),
             capture_mass,
             survival: self.survival,
         }
+    }
+
+    /// The hazard `β̂` the next [`step`](Self::step) will report, without
+    /// advancing the DP. It does not depend on that step's `c`.
+    pub fn peek_hazard(&self) -> f64 {
+        let i = self.slot;
+        let event_mass = self.buckets.iter().fold(0.0, |acc, &(last_event, mass)| {
+            acc + mass * self.hazards.at(i - last_event)
+        });
+        conditional_hazard(event_mass, self.survival)
     }
 
     /// Chain survival after the last processed slot:
@@ -183,11 +256,22 @@ impl<'a> AgeBeliefDp<'a> {
     }
 }
 
+/// `β̂ = P(event) / P(no capture yet)`, or 0 once the chain has no mass.
+fn conditional_hazard(event_mass: f64, total: f64) -> f64 {
+    if total > 0.0 {
+        (event_mass / total).clamp(0.0, 1.0)
+    } else {
+        0.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::renewal_fn::RenewalFunction;
     use evcap_dist::{Discretizer, MarkovEvents, SlotPmf, Weibull};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn always_active_reproduces_plain_hazard() {
@@ -281,6 +365,155 @@ mod tests {
         assert!((steps[3].hazard - 0.0).abs() < 1e-12);
         assert!((steps[5].hazard - 1.0).abs() < 1e-12); // slot 6: captured
         assert!(steps[5].survival < 1e-12);
+    }
+
+    /// A seeded activation sequence mixing sleep, full activity and
+    /// fractional probabilities (a quarter of the slots each, the rest
+    /// fractional), with runs of sleep long enough to grow the belief.
+    fn random_policy(seed: u64, len: usize) -> Vec<f64> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..len)
+            .map(|_| match rng.random_range(0..4u32) {
+                0 => 0.0,
+                1 => 1.0,
+                _ => rng.random::<f64>(),
+            })
+            .collect()
+    }
+
+    /// The textbook form of [`AgeBeliefDp::step`]: sum the belief, update
+    /// it reading `pmf.hazard`, push the miss bucket, `retain`, re-sum.
+    /// The one-pass step must reproduce it bit for bit.
+    struct ReferenceDp<'a> {
+        pmf: &'a SlotPmf,
+        buckets: Vec<(usize, f64)>,
+        slot: usize,
+        pruned: f64,
+    }
+
+    impl ReferenceDp<'_> {
+        fn step(&mut self, c: f64) -> BeliefStep {
+            let i = self.slot;
+            let total: f64 = self.buckets.iter().map(|&(_, m)| m).sum();
+            let (mut event_mass, mut missed_mass) = (0.0, 0.0);
+            for (last_event, mass) in &mut self.buckets {
+                let event = *mass * self.pmf.hazard(i - *last_event);
+                event_mass += event;
+                missed_mass += event * (1.0 - c);
+                *mass -= event;
+            }
+            let capture_mass = event_mass * c;
+            if missed_mass > 0.0 {
+                self.buckets.push((i, missed_mass));
+            }
+            self.buckets.retain(|&(_, m)| m >= PRUNE_EPS);
+            let remaining: f64 = self.buckets.iter().map(|&(_, m)| m).sum();
+            self.pruned += (total - capture_mass - remaining).max(0.0);
+            self.slot = i + 1;
+            BeliefStep {
+                slot: i,
+                hazard: conditional_hazard(event_mass, total),
+                capture_mass,
+                survival: remaining,
+            }
+        }
+    }
+
+    /// Steps the reference, a table-less and a table-backed DP side by
+    /// side and demands they agree bit for bit on every observable after
+    /// every step. Returns how many steps left the belief empty.
+    fn assert_table_matches_direct(pmf: &SlotPmf, steps: usize) -> usize {
+        let table = HazardTable::new(pmf);
+        let mut emptied = 0;
+        for seed in 0..8 {
+            let mut reference = ReferenceDp {
+                pmf,
+                buckets: vec![(0, 1.0)],
+                slot: 1,
+                pruned: 0.0,
+            };
+            let mut direct = AgeBeliefDp::new(pmf);
+            let mut tabled = AgeBeliefDp::with_table(&table);
+            for (k, c) in random_policy(seed, steps).into_iter().enumerate() {
+                let ctx = format!("seed {seed}, step {k}, c = {c}");
+                let r = reference.step(c);
+                let a = direct.step(c);
+                assert_eq!(r.hazard.to_bits(), a.hazard.to_bits(), "{ctx}");
+                assert_eq!(r.capture_mass.to_bits(), a.capture_mass.to_bits(), "{ctx}");
+                assert_eq!(r.survival.to_bits(), a.survival.to_bits(), "{ctx}");
+                assert_eq!(reference.pruned.to_bits(), direct.pruned_mass().to_bits());
+                assert_eq!(reference.buckets, direct.buckets, "{ctx}");
+                let b = tabled.step(c);
+                assert_eq!(a.slot, b.slot, "{ctx}");
+                assert_eq!(a.hazard.to_bits(), b.hazard.to_bits(), "{ctx}");
+                assert_eq!(a.capture_mass.to_bits(), b.capture_mass.to_bits(), "{ctx}");
+                assert_eq!(a.survival.to_bits(), b.survival.to_bits(), "{ctx}");
+                assert_eq!(
+                    direct.pruned_mass().to_bits(),
+                    tabled.pruned_mass().to_bits(),
+                    "{ctx}"
+                );
+                assert_eq!(direct.bucket_count(), tabled.bucket_count(), "{ctx}");
+                emptied += usize::from(tabled.bucket_count() == 0);
+            }
+        }
+        emptied
+    }
+
+    #[test]
+    fn hazard_table_is_bit_identical_on_weibull() {
+        let pmf = Discretizer::new()
+            .discretize(&Weibull::new(40.0, 3.0).unwrap())
+            .unwrap();
+        assert_table_matches_direct(&pmf, 400);
+    }
+
+    #[test]
+    fn hazard_table_is_bit_identical_past_a_geometric_tail() {
+        // Ten explicit slots and a geometric tail: the chain runs far past
+        // the horizon, where the DP reads the cached tail hazard.
+        let pmf = SlotPmf::with_tail(
+            vec![0.02, 0.05, 0.08, 0.1, 0.1, 0.08, 0.06, 0.05, 0.04, 0.02],
+            0.4,
+            0.07,
+            "tailed".into(),
+        )
+        .unwrap();
+        assert!(pmf.tail_mass() > 0.0);
+        assert_table_matches_direct(&pmf, 300);
+    }
+
+    #[test]
+    fn hazard_table_is_bit_identical_when_support_runs_out() {
+        // No tail mass: past the horizon the hazard is 1, so every bucket
+        // resolves and the belief can empty out entirely.
+        let pmf = SlotPmf::from_pmf(vec![0.1, 0.3, 0.2, 0.4]).unwrap();
+        assert_eq!(pmf.tail_mass(), 0.0);
+        assert_eq!(pmf.hazard(pmf.horizon() + 1), 1.0);
+        assert!(assert_table_matches_direct(&pmf, 120) > 0);
+    }
+
+    #[test]
+    fn peek_hazard_matches_a_probe_step_and_does_not_advance() {
+        let pmf = Discretizer::new()
+            .discretize(&Weibull::new(12.0, 3.0).unwrap())
+            .unwrap();
+        let table = HazardTable::new(&pmf);
+        for mut dp in [AgeBeliefDp::new(&pmf), AgeBeliefDp::with_table(&table)] {
+            for c in random_policy(3, 200) {
+                let (slot, survival, buckets) = (dp.next_slot(), dp.survival(), dp.bucket_count());
+                let peeked = dp.peek_hazard();
+                assert_eq!(
+                    peeked.to_bits(),
+                    dp.clone().step(0.0).hazard.to_bits(),
+                    "slot {slot}"
+                );
+                assert_eq!(dp.next_slot(), slot);
+                assert_eq!(dp.survival().to_bits(), survival.to_bits());
+                assert_eq!(dp.bucket_count(), buckets);
+                assert_eq!(dp.step(c).hazard.to_bits(), peeked.to_bits(), "slot {slot}");
+            }
+        }
     }
 
     #[test]

@@ -98,23 +98,37 @@ where
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                for i in start..(start + chunk).min(n) {
-                    let item = work[i]
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .take()
-                        // deepcheck:allow(panic-path): the atomic cursor hands each index to exactly one worker, so the slot is always full here
-                        .expect("each index is claimed once");
-                    let value = f(item);
-                    *results[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
-                }
-            });
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                    if start >= n {
+                        break;
+                    }
+                    for i in start..(start + chunk).min(n) {
+                        let item = work[i]
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .take()
+                            // deepcheck:allow(panic-path): the atomic cursor hands each index to exactly one worker, so the slot is always full here
+                            .expect("each index is claimed once");
+                        let value = f(item);
+                        *results[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
+                    }
+                })
+            })
+            .collect();
+        // Join here rather than leave it to the scope, which would replace
+        // a worker's panic payload with a generic "a scoped thread
+        // panicked"; re-raise the first worker's own payload instead.
+        let mut panicked = None;
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                panicked.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
         }
     });
     results
